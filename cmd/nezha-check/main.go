@@ -57,7 +57,7 @@ func usage() {
 commands:
   run       sweep seeds through every adversarial profile and diff-check them
   replay    re-run one (profile, seed) trial verbosely, minimizing any failure
-  execdiff  diff the MVCC executor against the snapshot-copy executor over evolving epochs
+  execdiff  diff the MVCC executor against a plain-map reference over evolving epochs
   corpus    write the fuzz seed corpora under testdata/fuzz/ (run from repo root)`)
 }
 
@@ -157,9 +157,9 @@ func cmdRun(args []string) error {
 }
 
 // cmdExecDiff sweeps the executor differential: the same workload run
-// through the MVCC version-cache read path and the legacy snapshot-copy
-// path must commit identical roots epoch after epoch (see
-// internal/check/execdiff.go).
+// through the MVCC version-cache read path and against a plain-map
+// reference must read identical values and hold identical state epoch
+// after epoch (see internal/check/execdiff.go).
 func cmdExecDiff(args []string) error {
 	fs := flag.NewFlagSet("execdiff", flag.ExitOnError)
 	seeds := fs.Int("seeds", 5, "seeds per profile")

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/cg"
@@ -91,10 +92,11 @@ func run(name string, sched types.Scheduler, txCount int, skew float64, epochs i
 	sum := n.Metrics().Summarize()
 	fmt.Printf("%-7s %d epochs x ~%d txs: committed %d, aborted %d (%.1f%%)\n",
 		name, sum.Epochs, txCount, sum.Committed, sum.Aborted, 100*sum.AbortRate())
-	fmt.Printf("        phases: validate %v, execute %v, control %v, commit %v (wall %v)\n",
-		sum.Validate.Round(time.Microsecond), sum.Execute.Round(time.Microsecond),
-		sum.Control.Round(time.Microsecond), sum.Commit.Round(time.Microsecond),
-		elapsed.Round(time.Millisecond))
+	stages := make([]string, len(sum.Stages))
+	for i, st := range sum.Stages {
+		stages[i] = fmt.Sprintf("%s %v", st.Name, st.Duration.Round(time.Microsecond))
+	}
+	fmt.Printf("        stages: %s (wall %v)\n", strings.Join(stages, ", "), elapsed.Round(time.Millisecond))
 	fmt.Printf("        final state root: %s\n\n", n.StateRoot().Short())
 	return nil
 }

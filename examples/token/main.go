@@ -77,9 +77,9 @@ func run(txCount int, skew, mint float64) error {
 	fmt.Printf("token workload: %d txs at skew %.1f (mint ratio %.1f)\n", stats.Txs, skew, mint)
 	fmt.Printf("  committed %d, scheduler aborts %d, execution reverts %d\n",
 		stats.Committed, stats.Aborted, stats.ExecutionFailed)
-	fmt.Printf("  phases: execute %v, control %v, commit %v (wall %v)\n",
-		stats.Execute.Round(time.Microsecond), stats.Control.Round(time.Microsecond),
-		stats.Commit.Round(time.Microsecond), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("  stages: execute %v, schedule %v, commit %v (wall %v)\n",
+		stats.Stage("execute").Duration.Round(time.Microsecond), stats.Stage("schedule").Duration.Round(time.Microsecond),
+		stats.Stage("commit").Duration.Round(time.Microsecond), time.Since(start).Round(time.Millisecond))
 
 	supply, err := n.State().Get(token.SupplyKey())
 	if err != nil {

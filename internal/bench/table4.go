@@ -29,8 +29,8 @@ func Table4(o Options) (*Table, error) {
 		}
 		reps := float64(o.Reps)
 		serialMs := float64(serial.Total().Microseconds()) / 1000 / reps
-		execMs := float64(nezha.Execute.Microseconds()) / 1000 / reps
-		ccMs := float64((nezha.Control + nezha.Commit).Microseconds()) / 1000 / reps
+		execMs := float64(nezha.Stage("execute").Duration.Microseconds()) / 1000 / reps
+		ccMs := float64((nezha.Stage("schedule").Duration + nezha.Stage("commit").Duration).Microseconds()) / 1000 / reps
 		speedup := serialMs / (execMs + ccMs)
 		t.Rows = append(t.Rows, []string{
 			itoa(omega),

@@ -101,11 +101,6 @@ type Config struct {
 	// Dir is the scratch root for per-node LSM directories. Empty means a
 	// temp directory that is removed when the scenario ends.
 	Dir string
-	// SnapshotExec switches every node to the legacy snapshot-copy
-	// execution path instead of the MVCC view default — CI runs the sweep
-	// once per mode, so an executor-specific convergence bug is pinned to
-	// its executor.
-	SnapshotExec bool
 	// Mempool fronts every miner with the admission-controlled pool of
 	// internal/mempool instead of the legacy flat pool, and adds
 	// admission-fault injection to the schedule — the sweep then proves
@@ -416,14 +411,13 @@ func (h *harness) setup(root string) error {
 		return err
 	}
 	h.nodeCfg = node.Config{
-		Consensus:         consensus.Params{Chains: h.cfg.Chains},
-		Workers:           workers,
-		Contracts:         map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
-		GenesisWrites:     genesis,
-		ConfirmDepth:      confirmDepth,
-		Persist:           true,
-		SyncBatch:         syncBatch,
-		SnapshotExecution: h.cfg.SnapshotExec,
+		Consensus:     consensus.Params{Chains: h.cfg.Chains},
+		Workers:       workers,
+		Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
+		GenesisWrites: genesis,
+		ConfirmDepth:  confirmDepth,
+		Persist:       true,
+		SyncBatch:     syncBatch,
 	}
 	if h.cfg.Mempool {
 		// The defaults suit the scenario's scale (blockTxs per round per

@@ -2,14 +2,15 @@ package check
 
 // The executor differential: the same multi-epoch adversarial workload
 // executed twice — once reading through the MVCC version cache
-// (statedb.View, the pipeline's default), once through per-epoch copied
-// snapshots (the retained legacy path) — must observe identical read
-// values, produce identical schedules at every parallelism level, and
-// commit to byte-identical per-epoch roots. Unlike the single-epoch
-// scheduler differential (driver.go), state here EVOLVES: epoch e's
-// writes are epoch e+1's read values, so a stale version, a phantom from
-// an unreleased reservation, or an over-eager GC fold shows up as a root
-// divergence within a few epochs.
+// (statedb.View, the pipeline's executor), once against a plain map that
+// serves as the independent serial reference — must observe identical
+// read values, produce identical schedules at every parallelism level,
+// and hold identical state after every commit: the reference applies
+// core.CommitState to its map, and the StateDB's committed contents must
+// equal it key for key. Unlike the single-epoch scheduler differential
+// (driver.go), state here EVOLVES: epoch e's writes are epoch e+1's read
+// values, so a stale version, a phantom from an unreleased reservation,
+// or an over-eager GC fold shows up as a divergence within a few epochs.
 
 import (
 	"bytes"
@@ -24,10 +25,11 @@ import (
 	"github.com/nezha-dag/nezha/internal/node"
 	"github.com/nezha-dag/nezha/internal/statedb"
 	"github.com/nezha-dag/nezha/internal/types"
+	"github.com/nezha-dag/nezha/internal/vm"
 )
 
-// FailExecDiff: the MVCC executor and the snapshot-copy executor diverged
-// (read values, schedules, or per-epoch state roots).
+// FailExecDiff: the MVCC executor diverged from the plain-map reference
+// (read values or post-commit state).
 const FailExecDiff FailureKind = "exec-divergence"
 
 // ExecDiffConfig configures one executor-differential run.
@@ -58,16 +60,20 @@ func (c ExecDiffConfig) withDefaults() ExecDiffConfig {
 	return c
 }
 
-// executor is one side of the differential: a state database plus the
-// read path under test.
-type executor struct {
-	db   *statedb.StateDB
-	read func() statedb.Reader
+// execDiff is one differential run: the MVCC-backed state database under
+// test and the plain-map reference it must track.
+type execDiff struct {
+	cfg ExecDiffConfig
+	db  *statedb.StateDB
+	ref map[types.Key][]byte
+	// afterCommit, when set, runs between the MVCC commit and the state
+	// comparison; the meta-tests plant a wrong committed write through it.
+	afterCommit func(db *statedb.StateDB) error
 }
 
-// newExecutors builds the MVCC-backed and snapshot-backed executors over
-// identical genesis state.
-func newExecutors(cfg ExecDiffConfig) (mvccEx, snapEx *executor, err error) {
+// newExecDiff seeds the MVCC database and the reference map with the same
+// genesis state. cfg must already carry its defaults.
+func newExecDiff(cfg ExecDiffConfig) (*execDiff, error) {
 	genesis, _ := Generate(cfg.Gen)
 	keys := make([]types.Key, 0, len(genesis))
 	for k := range genesis { //nezha:nondeterminism-ok keys are sorted immediately below
@@ -78,34 +84,18 @@ func newExecutors(cfg ExecDiffConfig) (mvccEx, snapEx *executor, err error) {
 	for i, k := range keys {
 		seed[i] = types.WriteEntry{Key: k, Value: genesis[k]}
 	}
-	mk := func(view bool) (*executor, error) {
-		db := statedb.Open(kvstore.NewMemory(), mpt.EmptyRoot)
-		if _, err := db.Commit(seed); err != nil {
-			return nil, err
-		}
-		ex := &executor{db: db}
-		if view {
-			ex.read = func() statedb.Reader { return db.View() }
-		} else {
-			ex.read = func() statedb.Reader { return db.Snapshot() }
-		}
-		return ex, nil
+	db := statedb.Open(kvstore.NewMemory(), mpt.EmptyRoot)
+	if _, err := db.Commit(seed); err != nil {
+		return nil, err
 	}
-	if mvccEx, err = mk(true); err != nil {
-		return nil, nil, err
-	}
-	if snapEx, err = mk(false); err != nil {
-		return nil, nil, err
-	}
-	return mvccEx, snapEx, nil
+	return &execDiff{cfg: cfg, db: db, ref: genesis}, nil
 }
 
-// execEpoch re-executes the epoch's generated footprints against the
-// executor's live read path: reads observe the current state, and every
-// write value is derived from the transaction's read values, so a wrong
-// read propagates into a wrong root instead of cancelling out.
-func (ex *executor) execEpoch(templates []*types.SimResult, epoch int) ([]*types.SimResult, error) {
-	r := ex.read()
+// execEpoch re-executes the epoch's generated footprints against a state
+// reader: reads observe the current state, and every write value is
+// derived from the transaction's read values, so a wrong read propagates
+// into wrong state instead of cancelling out.
+func execEpoch(r statedb.Reader, templates []*types.SimResult, epoch int) ([]*types.SimResult, error) {
 	sims := make([]*types.SimResult, len(templates))
 	for i, tpl := range templates {
 		sim := &types.SimResult{Tx: tpl.Tx}
@@ -164,67 +154,73 @@ func scheduleEpoch(cfg ExecDiffConfig, sims []*types.SimResult, epoch int) (*typ
 	return ref, nil
 }
 
-// RunExecDiff drives both executors through cfg.Epochs generations of one
-// workload shape and reports the first divergence (nil when clean).
+// RunExecDiff drives the MVCC executor and the plain-map reference through
+// cfg.Epochs generations of one workload shape and reports the first
+// divergence (nil when clean).
 func RunExecDiff(cfg ExecDiffConfig) *Failure {
 	cfg = cfg.withDefaults()
-	mvccEx, snapEx, err := newExecutors(cfg)
+	d, err := newExecDiff(cfg)
 	if err != nil {
 		return &Failure{Kind: FailExecDiff, Gen: cfg.Gen, Detail: fmt.Sprintf("genesis: %v", err)}
 	}
-	for e := 0; e < cfg.Epochs; e++ {
-		gen := cfg.Gen
-		gen.Seed += int64(e)
-		_, templates := Generate(gen)
+	return d.run()
+}
 
-		mvccSims, err := mvccEx.execEpoch(templates, e)
-		if err != nil {
-			return &Failure{Kind: FailExecDiff, Gen: cfg.Gen, Detail: "mvcc: " + err.Error()}
-		}
-		snapSims, err := snapEx.execEpoch(templates, e)
-		if err != nil {
-			return &Failure{Kind: FailExecDiff, Gen: cfg.Gen, Detail: "snapshot: " + err.Error()}
-		}
-		if f := diffSims(mvccSims, snapSims, e); f != nil {
-			f.Gen = cfg.Gen
+// run executes every configured epoch, stopping at the first divergence.
+func (d *execDiff) run() *Failure {
+	for e := 0; e < d.cfg.Epochs; e++ {
+		if f := d.epoch(e); f != nil {
+			f.Gen = d.cfg.Gen
 			return f
 		}
-
-		sched, fail := scheduleEpoch(cfg, mvccSims, e)
-		if fail != nil {
-			fail.Gen = cfg.Gen
-			return fail
-		}
-		snapSched, fail := scheduleEpoch(cfg, snapSims, e)
-		if fail != nil {
-			fail.Gen = cfg.Gen
-			return fail
-		}
-		if !sched.Equal(snapSched) {
-			return &Failure{Kind: FailExecDiff, Gen: cfg.Gen,
-				Detail: fmt.Sprintf("epoch %d commit groups: %s", e, diffSchedules(sched, snapSched))}
-		}
-
-		mvccRoot, err := node.CommitSchedule(mvccEx.db, mvccSims, sched, cfg.Workers)
-		if err != nil {
-			return &Failure{Kind: FailExecDiff, Gen: cfg.Gen, Detail: fmt.Sprintf("epoch %d mvcc commit: %v", e, err)}
-		}
-		snapRoot, err := node.CommitSchedule(snapEx.db, snapSims, sched, cfg.Workers)
-		if err != nil {
-			return &Failure{Kind: FailExecDiff, Gen: cfg.Gen, Detail: fmt.Sprintf("epoch %d snapshot commit: %v", e, err)}
-		}
-		if mvccRoot != snapRoot {
-			return &Failure{Kind: FailExecDiff, Gen: cfg.Gen,
-				Detail: fmt.Sprintf("epoch %d root: mvcc %x != snapshot %x", e, mvccRoot[:8], snapRoot[:8])}
-		}
-		// Fold old generations away mid-run so the sweep also exercises
-		// the GC path (a fold that corrupts a base surfaces next epoch).
-		mvccEx.db.AdvanceWatermark()
 	}
 	return nil
 }
 
-// diffSims compares the two executors' read observations entry for entry.
+// epoch executes, schedules and commits generation e on both sides.
+func (d *execDiff) epoch(e int) *Failure {
+	gen := d.cfg.Gen
+	gen.Seed += int64(e)
+	_, templates := Generate(gen)
+
+	sims, err := execEpoch(d.db.View(), templates, e)
+	if err != nil {
+		return &Failure{Kind: FailExecDiff, Detail: "mvcc: " + err.Error()}
+	}
+	refSims, err := execEpoch(vm.MapReader(d.ref), templates, e)
+	if err != nil {
+		return &Failure{Kind: FailExecDiff, Detail: "reference: " + err.Error()}
+	}
+	if f := diffSims(sims, refSims, e); f != nil {
+		return f
+	}
+
+	sched, f := scheduleEpoch(d.cfg, sims, e)
+	if f != nil {
+		return f
+	}
+	if _, err := node.CommitSchedule(d.db, sims, sched, d.cfg.Workers); err != nil {
+		return &Failure{Kind: FailExecDiff, Detail: fmt.Sprintf("epoch %d mvcc commit: %v", e, err)}
+	}
+	for k, v := range core.CommitState(refSims, sched) { //nezha:nondeterminism-ok map-to-map copy; order cannot change the result
+		d.ref[k] = v
+	}
+	if d.afterCommit != nil {
+		if err := d.afterCommit(d.db); err != nil {
+			return &Failure{Kind: FailExecDiff, Detail: fmt.Sprintf("epoch %d after commit: %v", e, err)}
+		}
+	}
+	if f := diffState(d.db, d.ref, e); f != nil {
+		return f
+	}
+	// Fold old generations away mid-run so the sweep also exercises the
+	// GC path (a fold that corrupts a base surfaces next epoch).
+	d.db.AdvanceWatermark()
+	return nil
+}
+
+// diffSims compares the MVCC executor's read observations with the
+// reference's, entry for entry.
 func diffSims(a, b []*types.SimResult, epoch int) *Failure {
 	for i := range a {
 		if len(a[i].Reads) != len(b[i].Reads) {
@@ -234,12 +230,37 @@ func diffSims(a, b []*types.SimResult, epoch int) *Failure {
 		for j := range a[i].Reads {
 			if a[i].Reads[j].Key != b[i].Reads[j].Key || !bytes.Equal(a[i].Reads[j].Value, b[i].Reads[j].Value) {
 				return &Failure{Kind: FailExecDiff,
-					Detail: fmt.Sprintf("epoch %d tx %d key %x: mvcc read %x, snapshot read %x",
+					Detail: fmt.Sprintf("epoch %d tx %d key %x: mvcc read %x, reference read %x",
 						epoch, a[i].Tx.ID, a[i].Reads[j].Key[:8], a[i].Reads[j].Value, b[i].Reads[j].Value)}
 			}
 		}
 	}
 	return nil
+}
+
+// diffState compares the database's committed contents with the reference
+// map: every key the trie holds must carry the reference value, and the
+// trie must hold every reference key.
+func diffState(db *statedb.StateDB, ref map[types.Key][]byte, epoch int) *Failure {
+	var f *Failure
+	held := 0
+	err := db.Iterate(func(k types.Key, v []byte) bool {
+		if want, ok := ref[k]; !ok || !bytes.Equal(v, want) {
+			f = &Failure{Kind: FailExecDiff,
+				Detail: fmt.Sprintf("epoch %d state key %x: mvcc %x, reference %x", epoch, k[:8], v, want)}
+			return false
+		}
+		held++
+		return true
+	})
+	if err != nil {
+		return &Failure{Kind: FailExecDiff, Detail: fmt.Sprintf("epoch %d state iterate: %v", epoch, err)}
+	}
+	if f == nil && held != len(ref) {
+		f = &Failure{Kind: FailExecDiff,
+			Detail: fmt.Sprintf("epoch %d state: mvcc holds %d keys, reference %d", epoch, held, len(ref))}
+	}
+	return f
 }
 
 // ExecDiffRunConfig configures an executor-differential sweep across the

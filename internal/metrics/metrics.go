@@ -83,21 +83,38 @@ type EpochStats struct {
 	Aborted          int
 	ExecutionFailed  int
 
-	Validate time.Duration
-	Execute  time.Duration
-	Control  time.Duration
-	Commit   time.Duration
-	// ControlBreakdown splits Control into the Fig. 10 sub-phases.
+	// ControlBreakdown splits the schedule stage into the Fig. 10
+	// sub-phases.
 	ControlBreakdown types.PhaseBreakdown
 	// Stages lists the pipeline stages in execution order with their
-	// queue/occupancy counters (the staged-pipeline view of the four
-	// phase durations above).
+	// durations and queue/occupancy counters — the one record every
+	// phase total is read from.
 	Stages []StageStat
 }
 
-// Total returns the end-to-end processing latency of the epoch.
-func (e EpochStats) Total() time.Duration {
-	return e.Validate + e.Execute + e.Control + e.Commit
+// Total returns the end-to-end processing latency of the epoch: the sum
+// of its stage durations.
+func (e EpochStats) Total() time.Duration { return stagesTotal(e.Stages) }
+
+// Stage returns the named stage's record; the zero StageStat when the
+// epoch ran no such stage.
+func (e EpochStats) Stage(name string) StageStat { return stageNamed(e.Stages, name) }
+
+func stagesTotal(stages []StageStat) time.Duration {
+	var d time.Duration
+	for _, s := range stages {
+		d += s.Duration
+	}
+	return d
+}
+
+func stageNamed(stages []StageStat, name string) StageStat {
+	for _, s := range stages {
+		if s.Name == name {
+			return s
+		}
+	}
+	return StageStat{}
 }
 
 // AbortRate returns aborted/(committed+aborted), counting scheduler aborts
@@ -203,11 +220,6 @@ type Summary struct {
 	Committed int
 	Aborted   int
 
-	Validate time.Duration
-	Execute  time.Duration
-	Control  time.Duration
-	Commit   time.Duration
-
 	ControlBreakdown types.PhaseBreakdown
 	// Stages aggregates per-stage samples by name, preserving first-seen
 	// stage order. Aggregated stats carry Capacity (the summed
@@ -217,10 +229,13 @@ type Summary struct {
 	Stages []StageStat
 }
 
-// Total returns the summed end-to-end latency.
-func (s Summary) Total() time.Duration {
-	return s.Validate + s.Execute + s.Control + s.Commit
-}
+// Total returns the summed end-to-end latency: the sum of the aggregated
+// stage durations.
+func (s Summary) Total() time.Duration { return stagesTotal(s.Stages) }
+
+// Stage returns the named stage aggregated across epochs; the zero
+// StageStat when no epoch ran it.
+func (s Summary) Stage(name string) StageStat { return stageNamed(s.Stages, name) }
 
 // AbortRate returns the aggregate scheduler abort rate.
 func (s Summary) AbortRate() float64 {
@@ -254,10 +269,6 @@ func (c *Collector) Summarize() Summary {
 		s.Txs += e.Txs
 		s.Committed += e.Committed
 		s.Aborted += e.Aborted
-		s.Validate += e.Validate
-		s.Execute += e.Execute
-		s.Control += e.Control
-		s.Commit += e.Commit
 		s.ControlBreakdown.Add(e.ControlBreakdown)
 		for _, st := range e.Stages {
 			i, ok := stageIdx[st.Name]

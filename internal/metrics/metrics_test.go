@@ -11,11 +11,21 @@ import (
 func TestEpochStatsDerived(t *testing.T) {
 	s := EpochStats{
 		Txs: 100, Committed: 90, Aborted: 10,
-		Validate: time.Millisecond, Execute: 2 * time.Millisecond,
-		Control: 3 * time.Millisecond, Commit: 4 * time.Millisecond,
+		Stages: []StageStat{
+			{Name: "validate", Duration: time.Millisecond},
+			{Name: "execute", Duration: 2 * time.Millisecond},
+			{Name: "schedule", Duration: 3 * time.Millisecond},
+			{Name: "commit", Duration: 4 * time.Millisecond},
+		},
 	}
 	if s.Total() != 10*time.Millisecond {
 		t.Fatalf("total = %v", s.Total())
+	}
+	if got := s.Stage("schedule").Duration; got != 3*time.Millisecond {
+		t.Fatalf("schedule stage = %v", got)
+	}
+	if got := s.Stage("serial"); got != (StageStat{}) {
+		t.Fatalf("absent stage = %+v, want zero", got)
 	}
 	if s.AbortRate() != 0.1 {
 		t.Fatalf("abort rate = %v", s.AbortRate())
@@ -30,7 +40,7 @@ func TestCollectorSummarize(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Record(EpochStats{
 			Epoch: uint64(i), Txs: 10, Committed: 8, Aborted: 2,
-			Execute: time.Millisecond,
+			Stages: []StageStat{{Name: "execute", Duration: time.Millisecond}},
 			ControlBreakdown: types.PhaseBreakdown{
 				Graph: time.Microsecond, Cycle: 2 * time.Microsecond, Sort: 3 * time.Microsecond,
 			},
@@ -40,8 +50,11 @@ func TestCollectorSummarize(t *testing.T) {
 	if sum.Epochs != 3 || sum.Txs != 30 || sum.Committed != 24 || sum.Aborted != 6 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if sum.Execute != 3*time.Millisecond {
-		t.Fatalf("execute = %v", sum.Execute)
+	if got := sum.Stage("execute").Duration; got != 3*time.Millisecond {
+		t.Fatalf("execute = %v", got)
+	}
+	if sum.Total() != 3*time.Millisecond {
+		t.Fatalf("total = %v", sum.Total())
 	}
 	if sum.ControlBreakdown.Total() != 18*time.Microsecond {
 		t.Fatalf("breakdown total = %v", sum.ControlBreakdown.Total())

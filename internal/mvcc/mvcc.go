@@ -6,8 +6,8 @@
 //
 // # Layout
 //
-// The store shards keys sixteen ways (same discipline as the statedb
-// snapshot and the commit overlay). Each key maps to a chain:
+// The store shards keys sixteen ways (same discipline as the node's
+// commit overlay). Each key maps to a chain:
 //
 //	base     copy-on-read cache of the backend (trie) value, valid for
 //	         every generation up to the chain's oldest version
@@ -54,7 +54,9 @@
 // new base and every version at or below w is dropped. Folding — rather
 // than dropping — is what keeps rule 2 honest: a later read between w and
 // a surviving version still sees the folded value. Reads below the
-// watermark return ErrBelowWatermark.
+// watermark return ErrBelowWatermark; the check runs under the key's
+// shard lock, so a read racing a fold gets the error, never the folded
+// (newer) base.
 package mvcc
 
 import (
@@ -76,7 +78,7 @@ var ErrBelowWatermark = errors.New("mvcc: view generation below gc watermark")
 // Missing keys return (nil, nil), matching the trie's read contract.
 type Loader func(k types.Key) ([]byte, error)
 
-// numShards matches the statedb snapshot and commit overlay sharding.
+// numShards matches the node's commit overlay sharding.
 const numShards = 16
 
 // DepthBuckets are the chain-depth histogram bounds GC records into
@@ -199,11 +201,19 @@ type View struct {
 func (v *View) Gen() uint64 { return v.gen }
 
 // Get resolves a key as of the view's generation.
-func (v *View) Get(k types.Key) ([]byte, error) {
-	if w := v.st.watermark.Load(); v.gen < w {
-		return nil, fmt.Errorf("%w: view at %d, watermark %d", ErrBelowWatermark, v.gen, w)
+func (v *View) Get(k types.Key) ([]byte, error) { return v.st.readAt(k, v.gen) }
+
+// belowWatermark reports a read at gen that the watermark no longer
+// covers. Callers check it while holding the key's shard lock:
+// SetWatermark publishes the watermark before it folds any shard, so a
+// reader that passes the check under the lock sees the chain unfolded
+// past gen, and one that would see a folded chain sees the raised
+// watermark instead.
+func (st *Store) belowWatermark(gen uint64) error {
+	if w := st.watermark.Load(); gen < w {
+		return fmt.Errorf("%w: view at %d, watermark %d", ErrBelowWatermark, gen, w)
 	}
-	return v.st.readAt(k, v.gen)
+	return nil
 }
 
 // readAt is the shared read path: chain lookup, then copy-on-read backend
@@ -211,6 +221,10 @@ func (v *View) Get(k types.Key) ([]byte, error) {
 func (st *Store) readAt(k types.Key, gen uint64) ([]byte, error) {
 	sh := st.shardOf(k)
 	sh.mu.RLock()
+	if err := st.belowWatermark(gen); err != nil {
+		sh.mu.RUnlock()
+		return nil, err
+	}
 	c := sh.chains[k]
 	if val, ok, upgrade := c.resolve(gen); ok {
 		if upgrade {
@@ -240,6 +254,9 @@ func (st *Store) readAt(k types.Key, gen uint64) ([]byte, error) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if err := st.belowWatermark(gen); err != nil {
+		return nil, err
+	}
 	c = sh.chains[k]
 	if cached, ok, _ := c.resolve(gen); ok {
 		// A commit or a racing reader populated the chain meanwhile; its

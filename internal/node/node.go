@@ -92,11 +92,6 @@ type Config struct {
 	// long-offline joiner would otherwise make its peer serialize the
 	// entire chain into one message. 0 means DefaultSyncBatch.
 	SyncBatch int
-	// SnapshotExecution selects the legacy per-epoch snapshot-copy
-	// execution path instead of the copy-free MVCC view. It is retained
-	// as the differential reference: internal/check runs both modes over
-	// identical epochs and asserts identical roots and commit groups.
-	SnapshotExecution bool
 	// PredictReads, when set, predicts the state keys a contract
 	// transaction will read (from its payload alone) so the prefetcher
 	// stage can warm them under the previous epoch's commit. Nil means
@@ -405,11 +400,8 @@ func (n *Node) processBlocksLocked(e uint64, blocks []*types.Block) (*EpochResul
 		res:    &EpochResult{Epoch: e},
 	}
 	stages := mvccStages
-	switch {
-	case n.cfg.Scheduler == nil:
+	if n.cfg.Scheduler == nil {
 		stages = serialStages
-	case n.cfg.SnapshotExecution:
-		stages = snapshotStages
 	}
 	err := n.runStages(er, stages)
 	putResultsBuf(er.results)
@@ -501,7 +493,7 @@ func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *typ
 }
 
 // simulate speculatively executes one transaction against a state reader
-// (the epoch's snapshot or MVCC view).
+// (the epoch's MVCC view, or the live head for the serial baseline).
 func (n *Node) simulate(tx *types.Transaction, state statedb.Reader) *types.SimResult {
 	sim := &types.SimResult{Tx: tx}
 	code, isContract := n.cfg.Contracts[tx.To]
@@ -583,7 +575,7 @@ func applyGroup(ov *overlay, group []types.TxID, byID map[types.TxID]*types.SimR
 	wg.Wait()
 }
 
-// verifyAgainstState adapts a state reader (snapshot or MVCC view) to
+// verifyAgainstState adapts a state reader (the epoch's MVCC view) to
 // core.VerifySchedule's map interface.
 func verifyAgainstState(state statedb.Reader, sims []*types.SimResult, sched *types.Schedule) error {
 	// The verifier only reads keys that appear in some read set; collect

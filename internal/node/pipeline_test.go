@@ -3,9 +3,11 @@ package node
 import (
 	"context"
 	"testing"
+	"time"
 
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/metrics"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
@@ -31,9 +33,9 @@ func mineAhead(t *testing.T, n *Node, m *Miner, epochs uint64) {
 }
 
 // TestStagesRecordedConcurrent: the concurrent pipeline reports its named
-// stages (including the MVCC read-set prefetch kick before commit), with
-// durations mirroring the legacy phase fields and task counts matching
-// the epoch.
+// stages (including the MVCC read-set prefetch kick before commit), the
+// epoch total is the sum of the stage durations, a lookup by name returns
+// each stage's own record, and task counts match the epoch.
 func TestStagesRecordedConcurrent(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 11, Accounts: 200, Skew: 0.3, InitialBalance: 1_000,
@@ -66,9 +68,15 @@ func TestStagesRecordedConcurrent(t *testing.T) {
 				t.Fatalf("epoch %d stage %d = %q, want %q", es.Epoch, i, es.Stages[i].Name, name)
 			}
 		}
-		if es.Stages[0].Duration != es.Validate || es.Stages[1].Duration != es.Execute ||
-			es.Stages[2].Duration != es.Control || es.Stages[4].Duration != es.Commit {
-			t.Fatalf("epoch %d: stage durations diverge from legacy phase fields", es.Epoch)
+		var sum time.Duration
+		for _, st := range es.Stages {
+			sum += st.Duration
+			if got := es.Stage(st.Name); got != st {
+				t.Fatalf("epoch %d: Stage(%q) = %+v, want %+v", es.Epoch, st.Name, got, st)
+			}
+		}
+		if es.Total() != sum {
+			t.Fatalf("epoch %d: Total() = %v, stage durations sum to %v", es.Epoch, es.Total(), sum)
 		}
 		if es.Stages[1].Tasks != es.Txs {
 			t.Fatalf("epoch %d: execute stage saw %d tasks, epoch has %d txs", es.Epoch, es.Stages[1].Tasks, es.Txs)
@@ -89,7 +97,7 @@ func TestStagesRecordedConcurrent(t *testing.T) {
 }
 
 // TestStagesRecordedSerial: the serial baseline runs validate+serial and
-// still splits the legacy execute/commit fields.
+// reports the serial stage as itself — no synthetic execute/commit split.
 func TestStagesRecordedSerial(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 12, Accounts: 100, Skew: 0, InitialBalance: 1_000,
@@ -113,8 +121,17 @@ func TestStagesRecordedSerial(t *testing.T) {
 	if len(es.Stages) != 2 || es.Stages[0].Name != "validate" || es.Stages[1].Name != "serial" {
 		t.Fatalf("serial stages: %+v", es.Stages)
 	}
-	if es.Execute+es.Commit != es.Stages[1].Duration {
-		t.Fatal("serial stage duration not split across execute+commit")
+	serial := es.Stage("serial")
+	if serial != es.Stages[1] || serial.Duration <= 0 || serial.Tasks != es.Txs {
+		t.Fatalf("serial stage lookup = %+v, recorded %+v, epoch txs %d", serial, es.Stages[1], es.Txs)
+	}
+	for _, name := range []string{"execute", "schedule", "commit"} {
+		if got := es.Stage(name); got != (metrics.StageStat{}) {
+			t.Fatalf("serial epoch reports a %q stage: %+v", name, got)
+		}
+	}
+	if es.Total() != es.Stages[0].Duration+serial.Duration {
+		t.Fatalf("Total() = %v, want validate+serial = %v", es.Total(), es.Stages[0].Duration+serial.Duration)
 	}
 }
 

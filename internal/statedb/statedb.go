@@ -1,9 +1,9 @@
 // Package statedb layers the blockchain state abstraction over the Merkle
 // Patricia Trie and the key-value store: authenticated roots per epoch,
-// cheap snapshots for speculative execution (every transaction of epoch e
-// reads the state of epoch e-1, §III-B), and batched commitment ("each node
-// applies the write values … and the updated elements are then flushed to
-// the underlying database", §III-B).
+// copy-free MVCC views for speculative execution (every transaction of
+// epoch e reads the state of epoch e-1, §III-B), and batched commitment
+// ("each node applies the write values … and the updated elements are
+// then flushed to the underlying database", §III-B).
 package statedb
 
 import (
@@ -17,25 +17,25 @@ import (
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
-// Reader is the read API speculative execution runs against: either a
-// copied Snapshot (the legacy per-epoch path, retained as the differential
-// reference) or a copy-free mvcc.View. It matches vm.StateReader.
+// Reader is the read API execution runs against: an epoch's copy-free
+// mvcc.View for speculative execution, or the StateDB head itself for the
+// serial baseline. It matches vm.StateReader.
 type Reader interface {
 	Get(k types.Key) ([]byte, error)
 }
 
 // StateDB is the mutable head state. A single writer (the commit phase)
-// calls Commit; any number of readers use Snapshots or Views. StateDB
-// itself is safe for concurrent use.
+// calls Commit; any number of readers use Views. StateDB itself is safe
+// for concurrent use.
 type StateDB struct {
 	mu    sync.RWMutex
 	store kvstore.Store
 	trie  *mpt.Trie
 	root  types.Hash
 	// mv is the multi-version cache in front of the trie, created on the
-	// first View call (snapshot-only users never pay for it). Once it
-	// exists, every Commit threads its writes through it so views stay
-	// consistent with the trie.
+	// first View or Prefetch call (head-only users such as the serial
+	// baseline never pay for it). Once it exists, every Commit threads
+	// its writes through it so views stay consistent with the trie.
 	mv *mvcc.Store
 	// jr, when set, receives state/* journal events at the MVCC epoch
 	// boundaries (reserve, commit, rollback, watermark). The mvcc package
@@ -73,28 +73,12 @@ func (s *StateDB) Get(k types.Key) ([]byte, error) {
 	return v, err
 }
 
-// Snapshot captures a read-only view of the current head state. Snapshots
-// are immutable, safe for concurrent use, and memoize resolved values —
-// speculative execution hammers the same hot keys, especially under skew.
-func (s *StateDB) Snapshot() *Snapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sn := &Snapshot{
-		root: s.root,
-		trie: mpt.New(s.root, s.store),
-	}
-	for i := range sn.shards {
-		sn.shards[i].cache = make(map[types.Key][]byte)
-	}
-	return sn
-}
-
 // View returns a copy-free MVCC reader pinned at the current state — the
-// Snapshot replacement for speculative execution. Unlike a Snapshot it
-// shares the version cache with every other view and with the commit
-// path, so nothing is duplicated per epoch; the view stays readable while
-// a later Commit runs (it keeps resolving pre-commit values) until
-// AdvanceWatermark garbage-collects its generation.
+// epoch snapshot speculative execution reads. It shares the version cache
+// with every other view and with the commit path, so nothing is
+// duplicated per epoch; the view stays readable while a later Commit runs
+// (it keeps resolving pre-commit values) until AdvanceWatermark
+// garbage-collects its generation.
 func (s *StateDB) View() *mvcc.View {
 	s.mu.RLock()
 	mv := s.mv
@@ -243,46 +227,8 @@ func (s *StateDB) Iterate(fn func(k types.Key, v []byte) bool) error {
 	})
 }
 
-// Snapshot is an immutable view of the state at one root. The value cache
-// is sharded by key prefix so that a worker pool hammering hot keys does
-// not serialize on one lock.
-type Snapshot struct {
-	root types.Hash
-	trie *mpt.Trie
-
-	shards [16]snapshotShard
-}
-
-type snapshotShard struct {
-	mu    sync.RWMutex
-	cache map[types.Key][]byte
-}
-
-// Both execution read paths satisfy the shared Reader API.
+// Both read paths satisfy the shared Reader API.
 var (
-	_ Reader = (*Snapshot)(nil)
+	_ Reader = (*StateDB)(nil)
 	_ Reader = (*mvcc.View)(nil)
 )
-
-// Root returns the snapshot's root.
-func (sn *Snapshot) Root() types.Hash { return sn.root }
-
-// Get reads a key from the snapshot; missing keys return nil.
-func (sn *Snapshot) Get(k types.Key) ([]byte, error) {
-	sh := &sn.shards[k[0]&0x0f]
-	sh.mu.RLock()
-	if v, ok := sh.cache[k]; ok {
-		sh.mu.RUnlock()
-		return v, nil
-	}
-	sh.mu.RUnlock()
-
-	v, _, err := sn.trie.Get(k[:])
-	if err != nil {
-		return nil, err
-	}
-	sh.mu.Lock()
-	sh.cache[k] = v
-	sh.mu.Unlock()
-	return v, nil
-}

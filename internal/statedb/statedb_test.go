@@ -3,7 +3,6 @@ package statedb
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/kvstore"
@@ -40,72 +39,6 @@ func TestCommitAndRead(t *testing.T) {
 	if err != nil || string(v) != "a" {
 		t.Fatalf("get = %q, %v", v, err)
 	}
-}
-
-func TestSnapshotIsolation(t *testing.T) {
-	db := Open(kvstore.NewMemory(), mpt.EmptyRoot)
-	if _, err := db.Commit([]types.WriteEntry{{Key: keyN(1), Value: []byte("old")}}); err != nil {
-		t.Fatal(err)
-	}
-	snap := db.Snapshot()
-
-	if _, err := db.Commit([]types.WriteEntry{{Key: keyN(1), Value: []byte("new")}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The snapshot still sees the old value; head sees the new one.
-	v, err := snap.Get(keyN(1))
-	if err != nil || string(v) != "old" {
-		t.Fatalf("snapshot read = %q, %v", v, err)
-	}
-	head, _ := db.Get(keyN(1))
-	if string(head) != "new" {
-		t.Fatalf("head read = %q", head)
-	}
-	if snap.Root() == db.Root() {
-		t.Fatal("roots must differ")
-	}
-}
-
-func TestSnapshotMissingKeyIsNil(t *testing.T) {
-	db := Open(kvstore.NewMemory(), mpt.EmptyRoot)
-	snap := db.Snapshot()
-	v, err := snap.Get(keyN(42))
-	if err != nil || v != nil {
-		t.Fatalf("missing = %q, %v", v, err)
-	}
-	// Cached nil must stay nil.
-	v, err = snap.Get(keyN(42))
-	if err != nil || v != nil {
-		t.Fatalf("cached missing = %q, %v", v, err)
-	}
-}
-
-func TestSnapshotConcurrentReads(t *testing.T) {
-	db := Open(kvstore.NewMemory(), mpt.EmptyRoot)
-	var writes []types.WriteEntry
-	for i := uint64(0); i < 200; i++ {
-		writes = append(writes, types.WriteEntry{Key: keyN(i), Value: []byte(fmt.Sprintf("v%d", i))})
-	}
-	if _, err := db.Commit(writes); err != nil {
-		t.Fatal(err)
-	}
-	snap := db.Snapshot()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := uint64(0); i < 200; i++ {
-				v, err := snap.Get(keyN(i))
-				if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-					t.Errorf("key %d = %q, %v", i, v, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestRootsDeterministicAcrossStores(t *testing.T) {

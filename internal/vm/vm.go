@@ -84,8 +84,8 @@ const (
 
 const maxStack = 256
 
-// StateReader is the snapshot interface speculative execution reads
-// through; statedb.Snapshot satisfies it.
+// StateReader is the interface execution reads state through: an epoch's
+// mvcc.View, the statedb head, or a MapReader all satisfy it.
 type StateReader interface {
 	Get(k types.Key) ([]byte, error)
 }
