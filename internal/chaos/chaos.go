@@ -14,7 +14,9 @@
 // re-runs the same faults (goroutine interleaving — hence exact message
 // timing — may vary, but convergence is required under EVERY
 // interleaving; a seed that fails intermittently is still a real bug).
-// Every Failure message embeds the nezha-chaos replay command.
+// Miners stamp blocks with a logical clock rather than wall time, so a
+// seed mines the same blocks onto the same chains run after run. Every
+// Failure message embeds the nezha-chaos replay command.
 //
 // The harness deliberately keeps block production fork-free: only nodes
 // that hold every block any live node holds may mine, and every mined
@@ -52,7 +54,6 @@ import (
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/journal"
 	"github.com/nezha-dag/nezha/internal/kvstore"
-	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/node"
 	"github.com/nezha-dag/nezha/internal/p2p"
 	"github.com/nezha-dag/nezha/internal/types"
@@ -101,13 +102,6 @@ type Config struct {
 	// Dir is the scratch root for per-node LSM directories. Empty means a
 	// temp directory that is removed when the scenario ends.
 	Dir string
-	// Mempool fronts every miner with the admission-controlled pool of
-	// internal/mempool instead of the legacy flat pool, and adds
-	// admission-fault injection to the schedule — the sweep then proves
-	// convergence holds when block assembly runs through the new
-	// ingestion path. Off keeps the schedule byte-identical to historical
-	// seeds.
-	Mempool bool
 	// JournalDir, when set, receives every node's flight-recorder journal
 	// (one <node>.journal per node) whether or not the scenario fails.
 	// When empty, journals are dumped only on failure, into a preserved
@@ -186,7 +180,7 @@ type Result struct {
 	// survived.
 	StorageErrors int
 	// MempoolFaults counts admission-fault windows armed against miner
-	// pools (Config.Mempool scenarios only).
+	// pools.
 	MempoolFaults int
 	// Stalls counts peer-stall faults (probabilistic delivery drops).
 	Stalls int
@@ -419,12 +413,6 @@ func (h *harness) setup(root string) error {
 		Persist:       true,
 		SyncBatch:     syncBatch,
 	}
-	if h.cfg.Mempool {
-		// The defaults suit the scenario's scale (blockTxs per round per
-		// miner); the generator's global nonce counter is sparse per
-		// sender, so StrictNonce stays off.
-		h.nodeCfg.Mempool = &mempool.Config{}
-	}
 
 	h.net = p2p.NewNetwork(p2p.Config{QueueLen: 512, Seed: h.cfg.Seed})
 	ids := make([]string, h.cfg.Nodes)
@@ -499,9 +487,9 @@ func (h *harness) teardown() {
 }
 
 // buildSchedule precomputes the fault plan: one mandatory fault of every
-// kind in disjoint round windows (so every seed exercises crash-restart,
-// partition/heal, storage error, and peer stall at least once), plus
-// seeded extras.
+// kind (so every seed exercises crash-restart, partition/heal, storage
+// error, peer stall and admission faults at least once), plus seeded
+// extras.
 func (h *harness) buildSchedule() map[int][]fault {
 	sched := make(map[int][]fault)
 	add := func(r int, f fault) { sched[r] = append(sched[r], f) }
@@ -519,12 +507,7 @@ func (h *harness) buildSchedule() map[int][]fault {
 	add(pick(3*R/4, R-2), fault{
 		kind: faultStall, node: h.rng.Intn(h.cfg.Nodes), duration: 3,
 	})
-	// Mempool scenarios get one mandatory admission-fault window on top.
-	// All mempool draws short-circuit on the flag, so non-mempool
-	// schedules stay byte-identical to historical seeds.
-	if h.cfg.Mempool {
-		add(pick(2, R-2), fault{kind: faultMempool, node: h.rng.Intn(h.cfg.Nodes), duration: 2})
-	}
+	add(pick(2, R-2), fault{kind: faultMempool, node: h.rng.Intn(h.cfg.Nodes), duration: 2})
 
 	for r := 2; r < R-2; r++ {
 		if h.rng.Float64() < 0.05 {
@@ -542,7 +525,7 @@ func (h *harness) buildSchedule() map[int][]fault {
 		if h.rng.Float64() < 0.04 {
 			add(r, fault{kind: faultPartition, node: h.rng.Intn(h.cfg.Nodes), duration: 3})
 		}
-		if h.cfg.Mempool && h.rng.Float64() < 0.08 {
+		if h.rng.Float64() < 0.08 {
 			add(r, fault{kind: faultMempool, node: h.rng.Intn(h.cfg.Nodes), duration: 2})
 		}
 	}
@@ -648,9 +631,6 @@ func (h *harness) applyFault(r int, f fault) {
 		h.res.Stalls++
 		h.eventf(r, "stalling deliveries to %s for %d rounds", cn.id, f.duration)
 	case faultMempool:
-		if !h.cfg.Mempool {
-			return
-		}
 		cn := h.pickAlive(f.node)
 		if cn == nil {
 			return
@@ -845,8 +825,8 @@ func (h *harness) mine(r int) {
 			if end > len(h.txs) {
 				end = len(h.txs)
 			}
-			// Guarded: with the mempool front end, feeding the pool runs
-			// admission (and its failpoint) rather than a plain append.
+			// Guarded: feeding the pool runs admission, and with it the
+			// mempool/admit failpoint.
 			batch := h.txs[h.txCursor:end]
 			h.guard(r, cn, func() error {
 				cn.miner.AddTxs(batch)

@@ -156,7 +156,6 @@ type crashTrialSpec struct {
 	recovery bool      // arm the site at a scripted mid-run restart instead of at runtime
 	serial   bool      // run both nodes on the serial pipeline (node/stage-serial)
 	tiny     bool      // tiny memtable + aggressive compaction (kvstore/flush, kvstore/compact)
-	mempool  bool      // front the victim's miner with the mempool
 	evict    bool      // tiny mempool caps so eviction decisions fire
 	tornFrac float64   // >0: truncate the WAL to this fraction at a scripted restart
 	corrupt  bool      // flip a mid-log WAL byte; recovery must reject loudly
@@ -184,11 +183,9 @@ func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
 			sp.recovery = true
 		case fail.NodeStageSerial:
 			sp.serial = true
-		case fail.MempoolAdmit:
-			sp.mempool = true
 		case fail.MempoolEvict:
-			sp.mempool, sp.evict = true, true
-		case fail.KVWALAppend, fail.KVWALSync, fail.KVApply,
+			sp.evict = true
+		case fail.MempoolAdmit, fail.KVWALAppend, fail.KVWALSync, fail.KVApply,
 			fail.NodeSubmit, fail.NodePersist, fail.NodePersistDone,
 			fail.NodeDivergeRoot, fail.NodeStageValidate, fail.NodeStageExecute,
 			fail.NodeStageSchedule, fail.NodeStageCommit, fail.NodeStagePrefetch:
@@ -352,13 +349,10 @@ func (c *crashTrial) setup() error {
 		ConfirmDepth:  confirmDepth,
 		Persist:       true,
 	}
-	if c.sp.mempool {
-		c.nodeCfg.Mempool = &mempool.Config{}
-		if c.sp.evict {
-			// One tiny shard so admission pressure forces eviction
-			// decisions every round.
-			c.nodeCfg.Mempool = &mempool.Config{Shards: 1, ShardCap: 8}
-		}
+	if c.sp.evict {
+		// One tiny shard so admission pressure forces eviction decisions
+		// every round.
+		c.nodeCfg.Mempool = &mempool.Config{Shards: 1, ShardCap: 8}
 	}
 
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {

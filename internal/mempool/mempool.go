@@ -1,6 +1,6 @@
-// Package mempool is the sustained-load ingestion front end (ROADMAP
-// item 2): a sender-sharded transaction pool sitting between submitters
-// and block assembly.
+// Package mempool is the sustained-load ingestion front end: a
+// sender-sharded transaction pool sitting between submitters and block
+// assembly. Every node.Miner fronts one.
 //
 // Design:
 //
@@ -14,6 +14,10 @@
 //     silent drop. This keeps policy OUT of the determinism-critical
 //     pipeline: once transactions are in blocks, the epoch pipeline
 //     neither knows nor cares how they were admitted.
+//   - A transaction's priority is its Gas: the gas limit a submitter
+//     attaches is this codebase's fee proxy (transactions carry no
+//     separate fee field; see DESIGN.md §14). Priority orders runs into
+//     blocks, picks eviction victims and gates replacement-by-fee.
 //   - Assembly (Assemble/MarkIncluded) is content-deterministic: given
 //     the same pool contents, every call produces the same transaction
 //     sequence regardless of map iteration order or admission
@@ -84,11 +88,6 @@ type Config struct {
 	Rate float64
 	// Burst is the token-bucket depth (default: Rate rounded up, min 1).
 	Burst int
-	// PriorityOf orders transactions into blocks and picks eviction
-	// victims. The default uses tx.Gas — the gas limit a submitter
-	// attaches is this codebase's fee proxy (transactions carry no
-	// separate fee field; see DESIGN.md §14).
-	PriorityOf func(*types.Transaction) uint64
 	// StrictNonce makes assembly take only nonce-contiguous runs per
 	// sender (a gap parks everything above it until the missing nonce
 	// arrives). Off by default because the legacy workload generators
@@ -127,9 +126,6 @@ func (cfg *Config) withDefaults() {
 		if cfg.Burst < 1 {
 			cfg.Burst = 1
 		}
-	}
-	if cfg.PriorityOf == nil {
-		cfg.PriorityOf = func(tx *types.Transaction) uint64 { return tx.Gas }
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -339,10 +335,10 @@ func (p *Pool) admitLocked(s *shard, tx *types.Transaction) error {
 			p.drop(dropDuplicate)
 			return fmt.Errorf("%w: %s nonce %d", ErrDuplicate, tx.From.Hex()[:8], tx.Nonce)
 		}
-		if p.cfg.PriorityOf(tx) <= p.cfg.PriorityOf(old) {
+		if tx.Gas <= old.Gas {
 			p.drop(dropPriced)
 			return fmt.Errorf("%w: nonce %d priority %d <= %d", ErrUnderpriced,
-				tx.Nonce, p.cfg.PriorityOf(tx), p.cfg.PriorityOf(old))
+				tx.Nonce, tx.Gas, old.Gas)
 		}
 		q.txs[tx.Nonce] = tx
 		return nil
@@ -398,11 +394,11 @@ func (p *Pool) evictLocked(s *shard, incoming *types.Transaction) error {
 			continue
 		}
 		tail := q.txs[q.nonces[len(q.nonces)-1]]
-		if victim == nil || p.weaker(tail, addr, victim, victim.From) {
+		if victim == nil || weaker(tail, addr, victim, victim.From) {
 			victim, victimQ = tail, q
 		}
 	}
-	if victim == nil || !p.weaker(victim, victim.From, incoming, incoming.From) {
+	if victim == nil || !weaker(victim, victim.From, incoming, incoming.From) {
 		p.drop(dropFull)
 		return fmt.Errorf("%w: shard at %d", ErrPoolFull, s.size.Load())
 	}
@@ -417,10 +413,9 @@ func (p *Pool) evictLocked(s *shard, incoming *types.Transaction) error {
 // weaker reports whether (a, addrA) precedes (b, addrB) in the eviction
 // order: lower priority first, then higher sender address, then higher
 // nonce — a strict total order because (sender, nonce) is unique.
-func (p *Pool) weaker(a *types.Transaction, addrA types.Address, b *types.Transaction, addrB types.Address) bool {
-	pa, pb := p.cfg.PriorityOf(a), p.cfg.PriorityOf(b)
-	if pa != pb {
-		return pa < pb
+func weaker(a *types.Transaction, addrA types.Address, b *types.Transaction, addrB types.Address) bool {
+	if a.Gas != b.Gas {
+		return a.Gas < b.Gas
 	}
 	if c := bytes.Compare(addrA[:], addrB[:]); c != 0 {
 		return c > 0
@@ -510,7 +505,7 @@ func (p *Pool) Assemble(max int) []*types.Transaction {
 				run.txs = append(run.txs, q.txs[n])
 				prev = n
 			}
-			run.prio = p.cfg.PriorityOf(run.txs[0])
+			run.prio = run.txs[0].Gas
 			runs = append(runs, run)
 		}
 		s.mu.Unlock()

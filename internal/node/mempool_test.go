@@ -11,10 +11,10 @@ import (
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
-// TestMempoolFedMinerPipeline drives the full pipeline with the miner's
-// flat pool replaced by the admission-controlled mempool: transactions
-// enter via batched admission, blocks assemble from the pool's
-// deterministic order, and epochs commit as usual.
+// TestMempoolFedMinerPipeline drives the full pipeline through a miner
+// whose pool is configured with StrictNonce: transactions enter via
+// batched admission, blocks assemble from the pool's deterministic
+// nonce-contiguous order, and epochs commit as usual.
 func TestMempoolFedMinerPipeline(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 7, Accounts: 500, Skew: 0.3, InitialBalance: 10_000,
@@ -33,7 +33,7 @@ func TestMempoolFedMinerPipeline(t *testing.T) {
 	}
 	miner := NewMiner(n, types.AddressFromUint64(99), 100)
 	if miner.Pool() == nil {
-		t.Fatal("mempool knob set but miner has no pool")
+		t.Fatal("miner has no pool")
 	}
 	miner.AddTxs(txs)
 	if got := miner.PoolSize(); got != 600 {
@@ -57,10 +57,11 @@ func TestMempoolFedMinerPipeline(t *testing.T) {
 	}
 }
 
-// TestMempoolMinerConvergence replays every mempool-assembled block into
-// a second, mempool-free node: both must process identical epochs and
-// agree on every state root — the mempool only changes which transactions
-// enter blocks, never how blocks execute.
+// TestMempoolMinerConvergence replays every block assembled by a
+// StrictNonce pool into a second node left on the default pool config:
+// both must process identical epochs and agree on every state root — the
+// pool config only changes which transactions enter blocks, never how
+// blocks execute.
 func TestMempoolMinerConvergence(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 11, Accounts: 300, Skew: 0.4, InitialBalance: 5_000,
@@ -114,19 +115,5 @@ func TestMempoolMinerConvergence(t *testing.T) {
 	}
 	if n1.StateRoot() != n2.StateRoot() {
 		t.Fatalf("state roots diverge: %s vs %s", n1.StateRoot(), n2.StateRoot())
-	}
-}
-
-// TestMinerWithoutKnobHasNoPool pins the default: a nil Config.Mempool
-// keeps the legacy flat pool (the byte-identical path the assembled-epoch
-// tests and differential oracles depend on).
-func TestMinerWithoutKnobHasNoPool(t *testing.T) {
-	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-	n, err := New("flat", kvstore.NewMemory(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := NewMiner(n, types.AddressFromUint64(1), 10); m.Pool() != nil {
-		t.Fatal("miner grew a mempool without the config knob")
 	}
 }

@@ -13,17 +13,6 @@ import (
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
-// fixMinerClock replaces the miner's wall clock with a deterministic
-// counter so two runs mine byte-identical blocks (block time feeds the
-// header hash, which feeds DAG chain assignment).
-func fixMinerClock(m *Miner) {
-	var tick uint64
-	m.clock = func() uint64 {
-		tick++
-		return tick
-	}
-}
-
 // genesisMap is the plain-map reference state the serial replays start
 // from: the node's genesis writes.
 func genesisMap(cfg Config) vm.MapReader {
@@ -99,7 +88,6 @@ func TestPrefetcherWarmsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(6), 40)
-	fixMinerClock(miner)
 	miner.AddTxs(txs)
 	// Mine the whole backlog first: the prefetcher only fires when epoch
 	// e+1 is already assembled while epoch e commits.
@@ -155,7 +143,6 @@ func TestMVCCMatchesSnapshotExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(5), 50)
-	fixMinerClock(miner)
 	miner.AddTxs(txs)
 	ref := genesisMap(cfg)
 

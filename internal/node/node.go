@@ -99,14 +99,11 @@ type Config struct {
 	// predicted from the sender/recipient balance cells. Mispredictions
 	// are harmless — the prefetch is a pure cache warm-up.
 	PredictReads func(tx *types.Transaction) []types.Key
-	// Mempool, when set, replaces the miner's flat FIFO transaction pool
-	// with the sharded admission-controlled pool of internal/mempool:
-	// AddTxs becomes batched admission (typed backpressure errors, rate
-	// limits, deterministic eviction) and block assembly takes the pool's
-	// priority/nonce order. Nil — the default — keeps the legacy pool,
-	// byte-identical to pre-mempool behaviour; the assembled-epoch tests
-	// and the differential oracles rely on that. The Tag is filled with
-	// the node id when empty.
+	// Mempool configures the miner's sharded admission-controlled pool
+	// (internal/mempool): admission policy (typed backpressure errors,
+	// rate limits, deterministic eviction) and assembly order. Nil means
+	// mempool.Config{ShardCap: -1, SenderCap: -1}, an unbounded pool. The
+	// Tag is filled with the node id when empty.
 	Mempool *mempool.Config
 }
 

@@ -35,7 +35,7 @@ type BlockHeader struct {
 	TxRoot    Hash    // Merkle root over the transaction hashes
 	StateRoot Hash    // state root of the previous epoch (validation phase)
 	Epoch     uint64  // epoch the block belongs to
-	Time      uint64  // miner-reported unix milliseconds
+	Time      uint64  // miner-local counter (the miner's mining attempt), not unix time; hashed, never validated
 	Miner     Address // block proposer
 	Nonce     uint64  // PoW nonce
 
